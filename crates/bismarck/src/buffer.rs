@@ -3,16 +3,23 @@
 //! The pool owns the heap storage and caches up to `capacity` pages in
 //! frames. Access is closure-scoped (`with_page` / `with_page_mut`), which
 //! pins the frame for exactly the duration of the closure without any guard
-//! lifetimes — the pattern the storage scan needs. Dirty frames are written
-//! back on eviction and on [`BufferPool::flush`].
+//! lifetimes. Dirty frames are written back on eviction and on
+//! [`BufferPool::flush`].
 //!
-//! Capping `capacity` far below the table size is how the scalability
-//! experiments (paper Figure 2b) force the disk-resident code path.
+//! The pool serves writes (inserts fill the tail page in a frame), every
+//! read of a memory-backed table, point reads, and the scan fallback when a
+//! file heap cannot be mapped. Scans of mapped file heaps bypass it: they
+//! take the heap's shared mapping once per scan ([`BufferPool::mapping`],
+//! counted in [`PoolStats::mapped_scans`]) and read rows in place, so
+//! capping `capacity` far below a disk table's size (paper Figure 2b) no
+//! longer turns each scanned row into a page read.
 
 use crate::error::{DbError, DbResult};
 use crate::heap::HeapStorage;
 use crate::page::Page;
+use bolton_data::mmap::MmapRegion;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Cache statistics, for the scalability harness and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,6 +32,8 @@ pub struct PoolStats {
     pub dirty_evictions: u64,
     /// Total evictions.
     pub evictions: u64,
+    /// Scans served from the heap file's mapping instead of frames.
+    pub mapped_scans: u64,
 }
 
 struct Frame {
@@ -129,6 +138,23 @@ impl BufferPool {
             }
         }
         Ok(())
+    }
+
+    /// Writes every dirty frame back, then returns the storage's mapping of
+    /// all pages (`None` when it has none), counting one mapped scan. After
+    /// the flush the file holds every row, so the mapping is authoritative
+    /// until the next write — which callers exclude by holding the table
+    /// for reading.
+    ///
+    /// # Errors
+    /// Write-back failures.
+    pub fn mapping(&mut self) -> DbResult<Option<Arc<MmapRegion>>> {
+        self.flush()?;
+        let region = self.storage.mapping();
+        if region.is_some() {
+            self.stats.mapped_scans += 1;
+        }
+        Ok(region)
     }
 
     /// Flushes every dirty frame and fsyncs the underlying heap, so a

@@ -6,9 +6,11 @@
 //! exercise:
 //!
 //! * [`page`] / [`heap`] — 8 KiB pages in memory or on disk (temp-file heaps
-//!   for the larger-than-memory scalability runs).
-//! * [`buffer`] — a clock-eviction buffer pool; capping its capacity forces
-//!   the disk-resident code path of Figure 2(b).
+//!   for the larger-than-memory scalability runs); disk heaps also hand out
+//!   one shared read-only mapping of the file, which table scans read rows
+//!   from in place.
+//! * [`buffer`] — a clock-eviction buffer pool serving inserts, memory
+//!   tables, and the scan fallback when a disk heap is not mapped.
 //! * [`table`] — fixed-width rows of `(features, label)`; implements
 //!   [`bolton_sgd::TrainSet`] so every training algorithm runs against
 //!   tables unchanged.

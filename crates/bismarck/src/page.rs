@@ -47,9 +47,20 @@ impl Page {
         (PAGE_SIZE - PAGE_HEADER) / Self::row_bytes(dim)
     }
 
+    /// Byte offset of row `slot` within a page of a `dim`-feature schema.
+    pub const fn row_offset(dim: usize, slot: usize) -> usize {
+        PAGE_HEADER + slot * Self::row_bytes(dim)
+    }
+
+    /// The row count recorded in a page image's header; `header` holds the
+    /// page's first [`PAGE_HEADER`] bytes.
+    pub fn row_count_in(header: &[u8]) -> usize {
+        u32::from_le_bytes(header[0..4].try_into().expect("4-byte row count")) as usize
+    }
+
     /// Number of rows currently stored.
     pub fn row_count(&self) -> usize {
-        u32::from_le_bytes([self.data[0], self.data[1], self.data[2], self.data[3]]) as usize
+        Self::row_count_in(&self.data[..PAGE_HEADER])
     }
 
     fn set_row_count(&mut self, n: usize) {
@@ -76,7 +87,7 @@ impl Page {
         if slot >= capacity {
             return Err(DbError::SlotOutOfBounds { slot, rows: capacity });
         }
-        let mut offset = PAGE_HEADER + slot * Self::row_bytes(dim);
+        let mut offset = Self::row_offset(dim, slot);
         for &v in features {
             self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
             offset += 8;
@@ -99,7 +110,7 @@ impl Page {
         if slot >= self.row_count() {
             return Err(DbError::SlotOutOfBounds { slot, rows: self.row_count() });
         }
-        let mut offset = PAGE_HEADER + slot * Self::row_bytes(dim);
+        let mut offset = Self::row_offset(dim, slot);
         for v in features_out.iter_mut() {
             *v =
                 f64::from_le_bytes(self.data[offset..offset + 8].try_into().expect("8-byte slice"));

@@ -5,15 +5,21 @@
 //! A table implements [`bolton_sgd::TrainSet`], so the SGD engine and every
 //! private algorithm run against it unchanged — that interchangeability *is*
 //! the bolt-on integration story.
+//!
+//! Scans of file-backed tables read rows in place from one shared
+//! read-only mapping of the heap file (`MappedRows`): no pool latch per
+//! row and no decode copy. Memory tables, and file tables whose heap cannot
+//! be mapped, scan through the buffer pool.
 
 use crate::buffer::{BufferPool, PoolStats};
 use crate::error::{DbError, DbResult};
-use crate::heap::Backing;
-use crate::page::Page;
+use crate::heap::{Backing, HeapStorage};
+use crate::page::{Page, PAGE_HEADER, PAGE_SIZE};
+use bolton_data::mmap::MmapRegion;
 use bolton_rng::Rng;
 use bolton_sgd::chunked::ChunkedRows;
 use bolton_sgd::TrainSet;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Default number of buffer-pool frames for new tables (256 × 8 KiB = 2 MiB).
 pub const DEFAULT_POOL_PAGES: usize = 256;
@@ -31,6 +37,9 @@ pub struct Table {
     // so concurrent readers interleave at page granularity and a frame is
     // effectively pinned (unevictable) exactly while its bytes are read.
     pool: Mutex<BufferPool>,
+    /// Whether scans read the heap file's mapping rather than the pool;
+    /// fixed at create, so memory tables never take the latch to find out.
+    mapped: bool,
     tail_pid: Option<usize>,
     /// Highest WAL LSN applied to this table (0 = none / not durable).
     /// Maintained by the durability layer in `db.rs`; recovery uses it to
@@ -52,18 +61,49 @@ impl Table {
         backing: Backing,
         pool_pages: usize,
     ) -> DbResult<Self> {
+        let storage = backing.open()?;
+        Ok(Self::with_storage(name.into(), dim, backing, storage, pool_pages))
+    }
+
+    /// [`Table::create`] with heap-file mapping off: every scan goes
+    /// through the buffer pool, whatever the platform or `BOLTON_MMAP`
+    /// say. This is the pool-path twin that the mapped-scan parity tests
+    /// compare against; memory tables are unaffected.
+    ///
+    /// # Errors
+    /// Propagates storage-open failures.
+    ///
+    /// # Panics
+    /// As [`Table::create`].
+    pub fn create_unmapped(
+        name: impl Into<String>,
+        dim: usize,
+        backing: Backing,
+        pool_pages: usize,
+    ) -> DbResult<Self> {
+        let storage = backing.open_with_mapping(false)?;
+        Ok(Self::with_storage(name.into(), dim, backing, storage, pool_pages))
+    }
+
+    fn with_storage(
+        name: String,
+        dim: usize,
+        backing: Backing,
+        storage: Box<dyn HeapStorage>,
+        pool_pages: usize,
+    ) -> Self {
         assert!(dim > 0, "tables need at least one feature column");
         assert!(Page::rows_per_page(dim) > 0, "row of dim {dim} does not fit in a page");
-        let storage = backing.open()?;
-        Ok(Self {
-            name: name.into(),
+        Self {
+            name,
             dim,
             rows: 0,
             backing,
+            mapped: storage.maps_pages(),
             pool: Mutex::new(BufferPool::new(storage, pool_pages)),
             tail_pid: None,
             last_lsn: 0,
-        })
+        }
     }
 
     /// Convenience: an in-memory table with the default pool size.
@@ -102,14 +142,17 @@ impl Table {
         self.pool.lock().expect("pool latch").reset_stats();
     }
 
-    /// Storage description (backing + pool).
+    /// Storage description (backing + pool), with how many scans the heap
+    /// file's mapping has served instead of the pool.
     pub fn describe(&self) -> String {
+        let pool = self.pool.lock().expect("pool latch");
         format!(
-            "table '{}' dim={} rows={} [{}]",
+            "table '{}' dim={} rows={} [{}] mapped_scans={}",
             self.name,
             self.dim,
             self.rows,
-            self.pool.lock().expect("pool latch").describe()
+            pool.describe(),
+            pool.stats().mapped_scans
         )
     }
 
@@ -195,24 +238,40 @@ impl Table {
         self.pool.lock().expect("pool latch").with_page(pid, |p| p.read_row(slot, features_out))?
     }
 
+    /// The rows of a mapped file-backed table as in-place views, or `None`
+    /// when scans go through the pool (memory tables, mapping off or
+    /// refused) — decided without the latch for memory tables.
+    ///
+    /// Takes the latch once to flush dirty frames, so the file holds every
+    /// row for the whole scan: `&self` means the caller holds the table for
+    /// reading, so no insert can run until the view is dropped.
+    fn mapped_rows(&self) -> DbResult<Option<MappedRows>> {
+        if !self.mapped || self.rows == 0 {
+            return Ok(None);
+        }
+        let region = self.pool.lock().expect("pool latch").mapping()?;
+        Ok(region.map(|region| MappedRows { region, rows: self.rows, dim: self.dim }))
+    }
+
     /// Sequential full scan: `visit(rid, features, label)` per row.
     ///
-    /// This is the access path of one Bismarck epoch: pages stream through
-    /// the pool in order, so a pool far smaller than the table still scans
-    /// at full speed.
+    /// This is the access path of one Bismarck epoch. A mapped file-backed
+    /// table hands out each row straight from the mapping. Otherwise pages
+    /// stream through the pool in order, so a pool far smaller than the
+    /// table still scans at full speed: each page is snapshotted into a
+    /// local frame under a short-lived latch, then its rows are visited
+    /// with no lock held.
     ///
-    /// Each page is snapshotted into a local frame under a short-lived
-    /// latch, then its rows are visited with no lock held — so visit
-    /// callbacks may themselves scan the table (reentrant metric scans) and
-    /// concurrent sessions interleave at page granularity without ever
-    /// observing a torn page.
+    /// Either way visit callbacks may themselves scan the table (reentrant
+    /// metric scans), and concurrent sessions never observe a torn page.
     pub fn scan_rows(&self, visit: &mut dyn FnMut(usize, &[f64], f64)) -> DbResult<()> {
         self.scan_range(0, self.rows, visit)
     }
 
     /// [`Table::scan_rows`] over the row range `[lo, hi)` — the shard
-    /// shape parallel batch scoring fans out, with one latch acquisition
-    /// and one page snapshot per page instead of per row.
+    /// shape parallel batch scoring fans out. A mapped table takes the
+    /// latch once per range; the pool path once per page, with one page
+    /// snapshot per page instead of per row.
     ///
     /// # Errors
     /// Propagates storage errors.
@@ -228,6 +287,9 @@ impl Table {
         assert!(lo <= hi && hi <= self.rows, "range [{lo}, {hi}) out of {} rows", self.rows);
         if lo == hi {
             return Ok(());
+        }
+        if let Some(view) = self.mapped_rows()? {
+            return view.scan_range(lo, hi, visit);
         }
         let rpp = Page::rows_per_page(self.dim);
         let mut buf = vec![0.0; self.dim];
@@ -254,6 +316,8 @@ impl Table {
     ///
     /// The shuffled copy uses the same backing kind (a fresh temp file for
     /// disk tables) and replaces this table's heap atomically on success.
+    /// A mapped table's rows are read from the mapping, not one pool miss
+    /// per row.
     pub fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) -> DbResult<usize> {
         let order = bolton_rng::random_permutation(rng, self.rows);
         let backing = match &self.backing {
@@ -263,11 +327,20 @@ impl Table {
             Backing::TempFile | Backing::File(_) => Backing::TempFile,
         };
         let pool_pages = self.pool.lock().expect("pool latch").capacity();
-        let mut shuffled = Table::create(self.name.clone(), self.dim, backing, pool_pages)?;
+        let storage = backing.open_with_mapping(self.mapped)?;
+        let mut shuffled =
+            Table::with_storage(self.name.clone(), self.dim, backing, storage, pool_pages);
+        let source = self.mapped_rows()?;
         let mut buf = vec![0.0; self.dim];
         for &rid in &order {
-            let label = self.read_row(rid, &mut buf)?;
-            shuffled.insert(&buf, label)?;
+            let (x, label) = match &source {
+                Some(view) => view.row(rid)?,
+                None => {
+                    let label = self.read_row(rid, &mut buf)?;
+                    (&buf[..], label)
+                }
+            };
+            shuffled.insert(x, label)?;
         }
         shuffled.pool.lock().expect("pool latch").flush()?;
         let moved = shuffled.rows;
@@ -319,9 +392,10 @@ impl ChunkedRows for Table {
         locals: &[usize],
         visit: &mut dyn FnMut(usize, &[f64], f64),
     ) {
-        // The row buffer is thread-local so the many short runs of a
-        // chunked scan don't allocate; the pool borrow is per row (as in
-        // `read_row`), keeping the visit callback outside the RefCell so
+        // The pool path, for tables whose heap is not mapped. The row
+        // buffer is thread-local so the many short runs of a chunked scan
+        // don't allocate. The pool latch is taken per row (as in
+        // `read_row`) and released before the visit callback runs, so
         // reentrant metric scans keep working.
         thread_local! {
             static ROW_BUF: std::cell::RefCell<Vec<f64>> =
@@ -356,11 +430,111 @@ impl TrainSet for Table {
     }
 
     fn scan_order(&self, order: &[usize], visit: &mut dyn FnMut(usize, &[f64], f64)) {
-        bolton_sgd::chunked::scan_order(self, order, visit);
+        match self.mapped_rows() {
+            Ok(Some(view)) => bolton_sgd::chunked::scan_order(&view, order, visit),
+            Ok(None) => bolton_sgd::chunked::scan_order(self, order, visit),
+            Err(e) => panic!("scan_order: {e}"),
+        }
     }
 
     fn scan(&self, visit: &mut dyn FnMut(usize, &[f64], f64)) {
         self.scan_rows(visit).unwrap_or_else(|e| panic!("scan: {e}"));
+    }
+}
+
+/// A file-backed table's rows read in place from the heap file's shared
+/// mapping, for the length of one scan. A chunk is a heap page, so the view
+/// plugs into [`bolton_sgd::chunked::scan_order`] like the table itself;
+/// rows reach the visitor as borrowed `&[f64]` views with no latch and no
+/// copy. Every access checks the page header's row count, and
+/// [`MmapRegion`] bounds-checks every byte range.
+struct MappedRows {
+    region: Arc<MmapRegion>,
+    rows: usize,
+    dim: usize,
+}
+
+impl MappedRows {
+    /// Rows page `pid` holds, per its header.
+    fn page_rows(&self, pid: usize) -> usize {
+        Page::row_count_in(self.region.bytes(pid * PAGE_SIZE, PAGE_HEADER))
+    }
+
+    /// Slot `slot` of page `pid`, whose header records `page_rows` rows.
+    fn slot(&self, pid: usize, page_rows: usize, slot: usize) -> DbResult<(&[f64], f64)> {
+        if slot >= page_rows {
+            return Err(DbError::SlotOutOfBounds { slot, rows: page_rows });
+        }
+        let offset = pid * PAGE_SIZE + Page::row_offset(self.dim, slot);
+        let (label, features) =
+            self.region.f64s(offset, self.dim + 1).split_last().expect("a row has a label");
+        Ok((features, *label))
+    }
+
+    /// Row `rid` as `(features, label)`.
+    fn row(&self, rid: usize) -> DbResult<(&[f64], f64)> {
+        if rid >= self.rows {
+            return Err(DbError::RowOutOfBounds { rid, rows: self.rows });
+        }
+        let rpp = Page::rows_per_page(self.dim);
+        let pid = rid / rpp;
+        self.slot(pid, self.page_rows(pid), rid % rpp)
+    }
+
+    /// Visits rows `[lo, hi)` in order; `lo < hi <= rows`.
+    fn scan_range(
+        &self,
+        lo: usize,
+        hi: usize,
+        visit: &mut dyn FnMut(usize, &[f64], f64),
+    ) -> DbResult<()> {
+        let rpp = Page::rows_per_page(self.dim);
+        for pid in (lo / rpp)..=((hi - 1) / rpp) {
+            let page_base = pid * rpp;
+            let page_rows = self.page_rows(pid);
+            for slot in lo.saturating_sub(page_base)..(hi - page_base).min(rpp) {
+                let (x, y) = self.slot(pid, page_rows, slot)?;
+                visit(page_base + slot, x, y);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl ChunkedRows for MappedRows {
+    fn len(&self) -> usize {
+        self.rows
+    }
+
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn chunk_len(&self) -> usize {
+        Page::rows_per_page(self.dim)
+    }
+
+    fn visit_chunk_rows(
+        &self,
+        chunk: usize,
+        locals: &[usize],
+        visit: &mut dyn FnMut(usize, &[f64], f64),
+    ) {
+        let page_rows = self.page_rows(chunk);
+        for (k, &l) in locals.iter().enumerate() {
+            let (x, y) = self.slot(chunk, page_rows, l).unwrap_or_else(|e| {
+                panic!("scan_order: row {}: {e}", chunk * self.chunk_len() + l)
+            });
+            visit(k, x, y);
+        }
+    }
+
+    fn prefetch_row(&self, row: usize) {
+        if row < self.rows {
+            let rpp = Page::rows_per_page(self.dim);
+            let offset = (row / rpp) * PAGE_SIZE + Page::row_offset(self.dim, row % rpp);
+            self.region.prefetch(offset, Page::row_bytes(self.dim));
+        }
     }
 }
 
@@ -476,13 +650,20 @@ mod tests {
         assert_eq!(seen, vec![(0, 40.0), (1, 0.0), (2, 196.0)]);
     }
 
+    /// Whether file-backed tables scan through the heap mapping here (the
+    /// platform maps and `BOLTON_MMAP` is not `off`).
+    fn maps() -> bool {
+        bolton_data::mmap::MMAP_SUPPORTED && !bolton_data::mmap::disabled_by_env()
+    }
+
     /// An ordered scan under the chunk-local permutation streams pages:
     /// even a 2-frame pool over a 50-page table misses each page only once
-    /// per scan — the out-of-core access pattern Figure 2b needs.
+    /// per scan — the out-of-core access pattern Figure 2b needs. Memory
+    /// tables always scan through the pool, so this pins the pool path.
     #[test]
     fn chunk_local_ordered_scan_streams_pages() {
         // dim=100 ⇒ 10 rows/page; 500 rows = 50 pages; pool of 2 frames.
-        let t = filled(Backing::TempFile, 2, 500, 100);
+        let t = filled(Backing::Memory, 2, 500, 100);
         let rpp = ChunkedRows::chunk_len(&t);
         assert_eq!(rpp, 10);
         t.reset_pool_stats();
@@ -548,7 +729,7 @@ mod tests {
 
     #[test]
     fn pool_stats_reflect_locality() {
-        let t = filled(Backing::TempFile, 64, 1000, 10);
+        let t = filled(Backing::Memory, 64, 1000, 10);
         t.reset_pool_stats();
         t.scan_rows(&mut |_, _, _| {}).unwrap();
         let stats = t.pool_stats();
@@ -556,5 +737,124 @@ mod tests {
         // with 64 frames everything fits: sequential scan re-hits each page.
         assert_eq!(stats.misses, 0, "{stats:?}");
         assert!(stats.hits > 0);
+    }
+
+    /// The mapped twin of `chunk_local_ordered_scan_streams_pages`: the same
+    /// scan of a file-backed table never touches the pool — one mapped scan,
+    /// zero misses — and sees the same rows.
+    #[test]
+    fn chunk_local_ordered_scan_of_a_file_table_is_one_mapped_scan() {
+        let t = filled(Backing::TempFile, 2, 500, 100);
+        let rpp = ChunkedRows::chunk_len(&t);
+        t.reset_pool_stats();
+        let order = bolton_rng::chunked_permutation(&mut bolton_rng::seeded(77), 500, rpp);
+        let mut count = 0usize;
+        t.scan_order(&order, &mut |pos, x, y| {
+            assert_eq!(x[0], (order[pos] * 100) as f64);
+            assert_eq!(y, if order[pos].is_multiple_of(2) { 1.0 } else { -1.0 });
+            count += 1;
+        });
+        assert_eq!(count, 500);
+        let stats = t.pool_stats();
+        if maps() {
+            assert_eq!((stats.misses, stats.hits, stats.mapped_scans), (0, 0, 1), "{stats:?}");
+        } else {
+            assert_eq!((stats.misses, stats.mapped_scans), (50, 0), "{stats:?}");
+        }
+    }
+
+    /// The mapped twin of `pool_stats_reflect_locality`: a sequential scan
+    /// of a file-backed table is one mapped scan with no pool lookups.
+    #[test]
+    fn sequential_scan_of_a_file_table_is_one_mapped_scan() {
+        let t = filled(Backing::TempFile, 64, 1000, 10);
+        t.reset_pool_stats();
+        let mut count = 0usize;
+        t.scan_rows(&mut |rid, x, _| {
+            assert_eq!(x[3], (rid * 10 + 3) as f64);
+            count += 1;
+        })
+        .unwrap();
+        assert_eq!(count, 1000);
+        let stats = t.pool_stats();
+        assert_eq!(stats.misses, 0, "{stats:?}");
+        if maps() {
+            assert_eq!((stats.hits, stats.mapped_scans), (0, 1), "{stats:?}");
+            assert!(t.describe().ends_with("mapped_scans=1"), "{}", t.describe());
+        } else {
+            assert!(stats.hits > 0);
+            assert_eq!(stats.mapped_scans, 0, "{stats:?}");
+        }
+    }
+
+    /// Memory tables never take the mapped path, and an unmapped file
+    /// table scans through the pool like a memory one.
+    #[test]
+    fn memory_and_unmapped_tables_scan_through_the_pool() {
+        let mut unmapped = Table::create_unmapped("u", 10, Backing::TempFile, 4).unwrap();
+        let memory = filled(Backing::Memory, 4, 300, 10);
+        memory.scan_rows(&mut |_, x, y| unmapped.insert(x, y).unwrap()).unwrap();
+        for t in [&memory, &unmapped] {
+            t.reset_pool_stats();
+            let mut rows = Vec::new();
+            t.scan_order(&[5, 250, 0], &mut |_, x, y| rows.push((x[0], y)));
+            t.scan_rows(&mut |_, _, _| {}).unwrap();
+            assert_eq!(rows, vec![(50.0, -1.0), (2500.0, 1.0), (0.0, 1.0)]);
+            let stats = t.pool_stats();
+            assert_eq!(stats.mapped_scans, 0, "{stats:?}");
+            assert!(stats.hits + stats.misses > 0, "{stats:?}");
+        }
+    }
+
+    /// Rows still sitting in dirty pool frames are in the next mapped scan
+    /// (the view flushes first), and pages appended after a scan are in
+    /// the one after it (the heap remaps once the file has grown).
+    #[test]
+    fn mapped_scans_see_dirty_frames_and_remap_after_growth() {
+        // dim=10 ⇒ 93 rows/page; every page stays resident and dirty.
+        let mut t = filled(Backing::TempFile, 64, 150, 10);
+        let sum = |t: &Table| {
+            let mut s = 0.0;
+            t.scan_rows(&mut |_, x, _| s += x[0]).unwrap();
+            s
+        };
+        let expect = |rows: usize| (0..rows).map(|i| (i * 10) as f64).sum::<f64>();
+        assert_eq!(sum(&t), expect(150));
+        for i in 150..1000 {
+            let x: Vec<f64> = (0..10).map(|j| (i * 10 + j) as f64).collect();
+            t.insert(&x, 1.0).unwrap();
+        }
+        assert_eq!(sum(&t), expect(1000));
+        let mut tail = Vec::new();
+        t.scan_range(990, 1000, &mut |rid, x, _| tail.push((rid, x[9]))).unwrap();
+        assert_eq!(tail, (990..1000).map(|i| (i, (i * 10 + 9) as f64)).collect::<Vec<_>>());
+        let mut x = vec![0.0; 10];
+        assert_eq!(t.read_row(999, &mut x).unwrap(), 1.0);
+        assert_eq!(x[0], 9990.0);
+        assert_eq!(t.pool_stats().mapped_scans, if maps() { 3 } else { 0 });
+    }
+
+    /// Shuffling a file-backed table reads its rows through the mapping and
+    /// lands them in exactly the order the pool path produces.
+    #[test]
+    fn shuffle_of_a_mapped_file_table_matches_the_pool_path() {
+        let mapped = filled(Backing::TempFile, 2, 200, 40);
+        let mut unmapped = Table::create_unmapped("t", 40, Backing::TempFile, 2).unwrap();
+        mapped.scan_rows(&mut |_, x, y| unmapped.insert(x, y).unwrap()).unwrap();
+        let order = bolton_rng::random_permutation(&mut bolton_rng::seeded(9), 200);
+        let mut shuffled = Vec::new();
+        let mut mapped_scans = Vec::new();
+        for mut t in [mapped, unmapped] {
+            t.shuffle(&mut bolton_rng::seeded(9)).unwrap();
+            let mut got = Vec::new();
+            t.scan_rows(&mut |_, x, y| got.push((x[0], y))).unwrap();
+            shuffled.push(got);
+            mapped_scans.push(t.pool_stats().mapped_scans);
+        }
+        // The shuffled copy keeps its source's read path.
+        assert_eq!(mapped_scans, vec![u64::from(maps()), 0]);
+        let expect: Vec<(f64, f64)> =
+            order.iter().map(|&i| ((i * 40) as f64, if i % 2 == 0 { 1.0 } else { -1.0 })).collect();
+        assert_eq!(shuffled, vec![expect.clone(), expect]);
     }
 }

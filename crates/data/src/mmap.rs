@@ -1,17 +1,19 @@
-//! Minimal read-only memory mapping for the row store.
+//! Minimal read-only memory mapping for the row store and the Bismarck
+//! heap files.
 //!
 //! The workspace bakes in a no-new-dependencies rule, so instead of the
 //! `libc`/`memmap2` crates this module declares the two syscall wrappers it
-//! needs against the C library `std` already links. Only what the row
-//! store requires is provided: map a whole file `PROT_READ`/`MAP_SHARED`,
-//! reinterpret 8-aligned byte ranges as `&[f64]` (valid because the store
-//! format is little-endian `f64`s and every supported target here is
+//! needs against the C library `std` already links. Only what the readers
+//! require is provided: map a whole file `PROT_READ`/`MAP_SHARED`,
+//! reinterpret 8-aligned byte ranges as `&[f64]` (valid because both file
+//! formats store little-endian `f64`s and every supported target here is
 //! little-endian), and unmap on drop.
 //!
 //! Platforms without the mapping path (or big-endian targets, where the
 //! on-disk little-endian floats cannot be reinterpreted in place) compile
-//! [`MmapRegion::map`] to `None` and the row store keeps its decode-copy
-//! path — mapping is an optimization, never a requirement.
+//! [`MmapRegion::map`] to `None` and the readers keep their copying paths —
+//! mapping is an optimization, never a requirement. `BOLTON_MMAP=off`
+//! ([`disabled_by_env`]) turns it off at run time.
 
 use std::fs::File;
 
@@ -70,6 +72,16 @@ pub const MMAP_SUPPORTED: bool = cfg!(all(
     target_pointer_width = "64"
 ));
 
+/// Environment variable disabling mmap-backed reads (`off` forces the
+/// copying paths; anything else, or unset, allows mapping).
+pub const MMAP_ENV: &str = "BOLTON_MMAP";
+
+/// Whether `BOLTON_MMAP=off` is set. Readers check it per open, not once
+/// per process, so tests and benches can toggle it between opens.
+pub fn disabled_by_env() -> bool {
+    std::env::var(MMAP_ENV).is_ok_and(|v| v.trim().eq_ignore_ascii_case("off"))
+}
+
 /// A read-only mapping of an entire file, unmapped on drop.
 ///
 /// The region outlives every borrowed row view through `Arc`: decoded
@@ -117,6 +129,39 @@ impl MmapRegion {
     /// Whether the mapping is empty (never true for a successful map).
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The `len` bytes starting at `byte_offset`.
+    ///
+    /// # Panics
+    /// Panics if the range leaves the mapping.
+    pub fn bytes(&self, byte_offset: usize, len: usize) -> &[u8] {
+        let end = byte_offset + len;
+        assert!(
+            end <= self.len,
+            "byte view [{byte_offset}, {end}) outside mapping of {}",
+            self.len
+        );
+        // SAFETY: in-bounds (asserted), and the mapping is read-only and
+        // lives as long as `&self`.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(byte_offset), len) }
+    }
+
+    /// Hints the CPU to start loading bytes `[byte_offset, byte_offset +
+    /// len)` into cache. Advisory only: a range outside the mapping is
+    /// ignored, and targets without a prefetch instruction do nothing.
+    pub fn prefetch(&self, byte_offset: usize, len: usize) {
+        if byte_offset.saturating_add(len) > self.len {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        for line in (byte_offset..byte_offset + len).step_by(64) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: `line` is inside the mapping (checked above), and a
+            // prefetch never faults or changes memory; SSE is part of the
+            // x86-64 baseline.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(self.ptr.add(line) as *const i8) };
+        }
     }
 
     /// Reinterprets `count` `f64`s starting at `byte_offset` as a slice.
@@ -171,6 +216,12 @@ mod tests {
         let region = MmapRegion::map(&file, 8 + values.len() * 8).expect("mapping succeeds");
         assert_eq!(region.len(), 8 + values.len() * 8);
         assert_eq!(region.f64s(8, values.len()), &values);
+        assert_eq!(region.bytes(8, 8), &values[0].to_le_bytes());
+        assert!(std::panic::catch_unwind(|| region.bytes(8, values.len() * 8 + 1)).is_err());
+        // Prefetch hints never panic, in range or out of it.
+        region.prefetch(0, region.len());
+        region.prefetch(region.len(), 64);
+        region.prefetch(usize::MAX, 8);
         drop(region);
         std::fs::remove_file(&path).unwrap();
     }

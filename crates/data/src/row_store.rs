@@ -82,9 +82,7 @@ pub const DEFAULT_MEM_BUDGET: usize = 64 * 1024 * 1024;
 /// Environment variable naming the chunk-cache byte budget.
 pub const MEM_BUDGET_ENV: &str = "BOLTON_MEM_BUDGET";
 
-/// Environment variable disabling mmap-backed chunk reads (`off` forces
-/// the decode-copy path; anything else, or unset, allows mapping).
-pub const MMAP_ENV: &str = "BOLTON_MMAP";
+pub use crate::mmap::MMAP_ENV;
 
 /// How rows are encoded on disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -553,12 +551,6 @@ fn env_budget() -> usize {
         .unwrap_or(DEFAULT_MEM_BUDGET)
 }
 
-/// `BOLTON_MMAP=off` disables mapping (checked per open, not cached, so
-/// tests and benches can toggle it between opens).
-fn mmap_disabled_by_env() -> bool {
-    std::env::var(MMAP_ENV).is_ok_and(|v| v.trim().eq_ignore_ascii_case("off"))
-}
-
 impl StoredDataset {
     /// Opens a store with the cache budget taken from `BOLTON_MEM_BUDGET`
     /// (bytes; default 64 MiB). Dense stores are mmap-backed when possible
@@ -665,7 +657,7 @@ impl StoredDataset {
         // 64-byte header, then chunks of rows×(dim+1)×8 bytes each.)
         let mapping = if allow_mmap
             && encoding == Encoding::Dense
-            && !mmap_disabled_by_env()
+            && !crate::mmap::disabled_by_env()
             && dir.iter().all(|m| m.offset % 8 == 0)
         {
             let map_len = dir.last().map(|m| (m.offset + m.bytes) as usize).unwrap_or(0);
@@ -1429,7 +1421,10 @@ mod tests {
         // `BOLTON_MMAP=off` in the environment legitimately disables the
         // mapping (the CI matrix runs the suite that way), so only require
         // it when the knob permits and the platform supports it.
-        assert_eq!(mapped.mmap_backed(), crate::mmap::MMAP_SUPPORTED && !mmap_disabled_by_env());
+        assert_eq!(
+            mapped.mmap_backed(),
+            crate::mmap::MMAP_SUPPORTED && !crate::mmap::disabled_by_env()
+        );
         assert!(!copied.mmap_backed(), "copy-mode open must never map");
         for i in 0..120 {
             assert_eq!(mapped.get(i), copied.get(i), "row {i}");

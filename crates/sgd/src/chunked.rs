@@ -30,6 +30,10 @@ use bolton_linalg::SparseVec;
 /// at zero heap allocations per scan (mirrors `ShardView`'s chunking).
 pub const SCAN_RUN: usize = 128;
 
+/// How many order positions past each run's last row [`scan_order`] hints
+/// [`ChunkedRows::prefetch_row`].
+pub const PREFETCH_AHEAD: usize = 4;
+
 /// Rows laid out in fixed-size chunks (the last chunk may be short).
 ///
 /// `visit_chunk_rows` is the only data-access primitive; everything else —
@@ -84,6 +88,12 @@ pub trait ChunkedRows {
         locals: &[usize],
         visit: &mut dyn FnMut(usize, &[f64], f64),
     );
+
+    /// Hints that row `row` will be visited soon, so a backend that hands
+    /// out rows in place (a file mapping) can start loading it while the
+    /// current rows are processed. Purely advisory: the default does
+    /// nothing, and implementations must ignore out-of-range rows.
+    fn prefetch_row(&self, _row: usize) {}
 }
 
 /// Chunked rows that can additionally stream *sparse* rows, handing the
@@ -153,6 +163,11 @@ pub fn scan_order<C: ChunkedRows + ?Sized>(
         return;
     }
     for_each_run(data.len(), data.chunk_len(), order, &mut |chunk, locals, base| {
+        // Random orders make most runs one row long; hinting the row a few
+        // positions ahead overlaps its memory fetch with this run's work.
+        if let Some(&ahead) = order.get(base + locals.len() - 1 + PREFETCH_AHEAD) {
+            data.prefetch_row(ahead);
+        }
         data.visit_chunk_rows(chunk, locals, &mut |k, x, y| visit(base + k, x, y));
     });
 }
@@ -189,11 +204,12 @@ mod tests {
         rows: usize,
         cl: usize,
         pins: std::cell::Cell<usize>,
+        hints: std::cell::RefCell<Vec<usize>>,
     }
 
     impl Toy {
         fn new(rows: usize, cl: usize) -> Self {
-            Self { rows, cl, pins: std::cell::Cell::new(0) }
+            Self { rows, cl, pins: std::cell::Cell::new(0), hints: Default::default() }
         }
     }
 
@@ -222,6 +238,24 @@ mod tests {
                 visit(k, &x, if i.is_multiple_of(2) { 1.0 } else { -1.0 });
             }
         }
+        fn prefetch_row(&self, row: usize) {
+            self.hints.borrow_mut().push(row);
+        }
+    }
+
+    /// Each run hints the row `PREFETCH_AHEAD` positions past its last row,
+    /// so a one-row-per-run (random) order hints every upcoming row once.
+    #[test]
+    fn runs_hint_the_rows_ahead() {
+        let toy = Toy::new(12, 2);
+        let order = [11usize, 0, 5, 8, 2, 10, 3, 7, 1];
+        scan_order(&toy, &order, &mut |_, _, _| {});
+        assert_eq!(*toy.hints.borrow(), order[PREFETCH_AHEAD..]);
+        // A chunk-local order has one hint per run, not per row.
+        let toy = Toy::new(12, 4);
+        let order: Vec<usize> = (8..12).chain(0..4).chain(4..8).collect();
+        scan_order(&toy, &order, &mut |_, _, _| {});
+        assert_eq!(*toy.hints.borrow(), vec![order[3 + PREFETCH_AHEAD], order[7 + PREFETCH_AHEAD]]);
     }
 
     #[test]
