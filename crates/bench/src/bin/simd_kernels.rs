@@ -3,8 +3,11 @@
 //!
 //! Times every supported [`simd::Mode`] over the five hot kernels
 //! (`dot`, `norm_sq`, `axpy`, `scale`, `axpy_project_l2`) at
-//! d ∈ {256, 512, 1024, 2048}, asserting the reproducibility contract
-//! before trusting any timing:
+//! d ∈ {16, 50, 256, 512, 1024, 2048}, asserting the reproducibility
+//! contract before trusting any timing. d = 16 and d = 50 are the
+//! dimensions the served workloads score and train at; there a call's
+//! fixed cost (dispatch, the final lane reduction) dominates, so these
+//! rows show any per-call overhead the long vectors hide. The contract:
 //! * each reduction kernel is bit-identical to the fixed-width reference
 //!   at its own lane width (scalar/AVX2 → width 4, AVX-512 → width 16);
 //! * element-wise kernels (`axpy`, `scale`) are bit-identical across
@@ -13,7 +16,8 @@
 //!
 //! Acceptance gate: when the machine supports a SIMD mode, the dispatched
 //! kernel must reach ≥1.5× the scalar reference on `dot` and
-//! `axpy_project_l2` at d ≥ 1024.
+//! `axpy_project_l2` at d ≥ 1024. The short dimensions are reported, not
+//! gated.
 //!
 //! Prints TSV to stdout and writes `BENCH_simd_kernels.json` (override
 //! with `BOLTON_BENCH_OUT`). Knobs: `BOLTON_SIMD_REPEATS` (default 9),
@@ -28,8 +32,9 @@ use std::time::Instant;
 
 // Sizes stay in the L1-resident, compute-bound regime: once the working
 // set spills past L1 (~d=4096: two 32 KB vectors) every implementation is
-// load-bandwidth-bound and lane width stops mattering.
-const DIMS: [usize; 4] = [256, 512, 1024, 2048];
+// load-bandwidth-bound and lane width stops mattering. 16 and 50 are the
+// served dimensions, where per-call overhead rather than lane width decides.
+const DIMS: [usize; 6] = [16, 50, 256, 512, 1024, 2048];
 const KERNELS: [&str; 5] = ["dot", "norm_sq", "axpy", "scale", "axpy_project_l2"];
 
 fn env_usize(key: &str, default: usize) -> usize {

@@ -33,6 +33,13 @@
 //! Models trained under `BOLTON_SIMD=off` are bit-for-bit the models of
 //! the pre-SIMD workspace at the same seed.
 //!
+//! The reference functions and the recursive pairwise `tree_reduce` they
+//! share are the *spec*; the SIMD kernels do not call them. Each kernel
+//! collapses its lanes with a straight-line, always-inlined unroll
+//! (`reduce4` for AVX2, `reduce16` for AVX-512) that pairs exactly the
+//! operands `tree_reduce` pairs, so the fixed per-call cost stays a few
+//! adds and short vectors (d = 16, 50) pay no recursion.
+//!
 //! ## Selection
 //!
 //! The `BOLTON_SIMD` environment variable (read once, at the first kernel
@@ -138,7 +145,9 @@ pub fn active() -> Mode {
 }
 
 /// Pairwise tree reduction `((a₀+a₁)+(a₂+a₃)) + …` — the fixed reduction
-/// order every kernel's partial sums collapse through.
+/// order every kernel's partial sums collapse through. The executable spec
+/// behind the `reference_*` functions; the SIMD kernels use the unrolled
+/// [`reduce4`]/[`reduce16`], which pair the same operands.
 fn tree_reduce(acc: &[f64]) -> f64 {
     match acc.len() {
         0 => 0.0,
@@ -148,6 +157,23 @@ fn tree_reduce(acc: &[f64]) -> f64 {
             tree_reduce(&acc[..half]) + tree_reduce(&acc[half..])
         }
     }
+}
+
+/// [`tree_reduce`] of four lanes, straight-line: `(a₀+a₁)+(a₂+a₃)`.
+#[inline(always)]
+fn reduce4(a: &[f64; 4]) -> f64 {
+    (a[0] + a[1]) + (a[2] + a[3])
+}
+
+/// [`tree_reduce`] of sixteen lanes, straight-line: four quads, each
+/// paired as in [`reduce4`], then summed pairwise.
+#[inline(always)]
+fn reduce16(a: &[f64; 16]) -> f64 {
+    let q0 = (a[0] + a[1]) + (a[2] + a[3]);
+    let q1 = (a[4] + a[5]) + (a[6] + a[7]);
+    let q2 = (a[8] + a[9]) + (a[10] + a[11]);
+    let q3 = (a[12] + a[13]) + (a[14] + a[15]);
+    (q0 + q1) + (q2 + q3)
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +434,7 @@ mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::tree_reduce;
+    use super::reduce4;
     use std::arch::x86_64::*;
 
     // Each kernel mirrors its scalar counterpart exactly: one mul + one
@@ -437,7 +463,7 @@ mod avx2 {
         for j in split..n {
             tail += x[j] * y[j];
         }
-        tree_reduce(&lanes) + tail
+        reduce4(&lanes) + tail
     }
 
     /// # Safety
@@ -514,7 +540,7 @@ mod avx2 {
             *wi += alpha * x[j];
             tail += *wi * *wi;
         }
-        let norm = (tree_reduce(&lanes) + tail).sqrt();
+        let norm = (reduce4(&lanes) + tail).sqrt();
         if norm > radius {
             scale(radius / norm, w);
         }
@@ -528,7 +554,7 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::tree_reduce;
+    use super::reduce16;
     use std::arch::x86_64::*;
 
     // Same mul-then-add discipline as the AVX2 kernels (no FMA), but 16
@@ -564,7 +590,7 @@ mod avx512 {
         for j in split..n {
             tail += x[j] * y[j];
         }
-        tree_reduce(&lanes) + tail
+        reduce16(&lanes) + tail
     }
 
     /// # Safety
@@ -649,7 +675,7 @@ mod avx512 {
             *wi += alpha * x[j];
             tail += *wi * *wi;
         }
-        let norm = (tree_reduce(&lanes) + tail).sqrt();
+        let norm = (reduce16(&lanes) + tail).sqrt();
         if norm > radius {
             scale(radius / norm, w);
         }
@@ -694,47 +720,75 @@ mod tests {
         }
     }
 
+    /// Awkward values for the reductions: signed zeros, subnormals, and
+    /// large opposite-sign magnitudes whose products cancel (≈ ±1e300,
+    /// still finite after eighty terms).
+    const EDGE: [f64; 11] =
+        [0.0, -0.0, 5e-324, -2.5e-310, 1e150, -1e150, 3.0, -1e-300, 1e16, -1e16, 0.5];
+
+    fn edge(len: usize, stride: usize) -> Vec<f64> {
+        (0..len).map(|i| EDGE[(i * stride + len) % EDGE.len()]).collect()
+    }
+
+    /// Input pairs per length: smooth waves, edge-value mixes, all signed
+    /// zeros, and alternating huge products that cancel almost exactly.
+    fn reduction_inputs(len: usize) -> Vec<(&'static str, Vec<f64>, Vec<f64>)> {
+        let cancel_x: Vec<f64> =
+            (0..len).map(|i| if i % 2 == 0 { 1e150 } else { -1e150 }).collect();
+        let cancel_y: Vec<f64> = (0..len).map(|i| 1e150 * (1.0 + i as f64 * 1e-3)).collect();
+        vec![
+            ("wave", wave(len, 0.7), wave(len, 1.3)),
+            ("edge", edge(len, 3), edge(len, 7)),
+            ("signed zeros", vec![-0.0; len], edge(len, 1).iter().map(|v| v.abs()).collect()),
+            ("cancel", cancel_x, cancel_y),
+        ]
+    }
+
     /// Every supported mode matches the lane-width reference bit for bit,
-    /// across every tail-length class 0–16.
+    /// across lengths 0–80: several full 16-lane blocks, every tail class of
+    /// both widths, and the served dimensions d = 16 and d = 50.
     #[test]
     fn kernels_match_reference_at_their_lane_width() {
         for mode in supported_modes() {
             let w = mode.lane_width();
-            for len in 0..=16usize {
-                let x = wave(len, 0.7);
-                let y = wave(len, 1.3);
-                assert_eq!(
-                    dot(mode, &x, &y).to_bits(),
-                    reference_dot(w, &x, &y).to_bits(),
-                    "dot {} len {len}",
-                    mode.name()
-                );
-                assert_eq!(
-                    norm_sq(mode, &x).to_bits(),
-                    reference_norm_sq(w, &x).to_bits(),
-                    "norm_sq {} len {len}",
-                    mode.name()
-                );
-                let mut got = y.clone();
-                axpy(mode, -0.37, &x, &mut got);
-                let mut want = y.clone();
-                super::scalar::axpy(-0.37, &x, &mut want);
-                assert_eq!(got, want, "axpy {} len {len}", mode.name());
-                let mut got = x.clone();
-                scale(mode, 1.0 / 3.0, &mut got);
-                let mut want = x.clone();
-                super::scalar::scale(1.0 / 3.0, &mut want);
-                assert_eq!(got, want, "scale {} len {len}", mode.name());
-                for radius in [0.01, 1.0, 1e6] {
+            for len in 0..=80usize {
+                for (case, x, y) in reduction_inputs(len) {
+                    let at = format!("{} len {len} {case}", mode.name());
+                    assert_eq!(
+                        dot(mode, &x, &y).to_bits(),
+                        reference_dot(w, &x, &y).to_bits(),
+                        "dot {at}"
+                    );
+                    assert_eq!(
+                        norm_sq(mode, &x).to_bits(),
+                        reference_norm_sq(w, &x).to_bits(),
+                        "norm_sq {at}"
+                    );
                     let mut got = y.clone();
-                    let gn = axpy_project_l2(mode, 0.81, &x, &mut got, radius);
+                    axpy(mode, -0.37, &x, &mut got);
                     let mut want = y.clone();
-                    let wn = reference_axpy_project_l2(w, 0.81, &x, &mut want, radius);
-                    assert_eq!(got, want, "fused {} len {len} r {radius}", mode.name());
-                    assert_eq!(gn.to_bits(), wn.to_bits());
+                    super::scalar::axpy(-0.37, &x, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "axpy {at}");
+                    let mut got = x.clone();
+                    scale(mode, 1.0 / 3.0, &mut got);
+                    let mut want = x.clone();
+                    super::scalar::scale(1.0 / 3.0, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "scale {at}");
+                    for radius in [0.01, 1.0, 1e6] {
+                        let mut got = y.clone();
+                        let gn = axpy_project_l2(mode, 0.81, &x, &mut got, radius);
+                        let mut want = y.clone();
+                        let wn = reference_axpy_project_l2(w, 0.81, &x, &mut want, radius);
+                        assert_eq!(bits(&got), bits(&want), "fused {at} r {radius}");
+                        assert_eq!(gn.to_bits(), wn.to_bits(), "fused norm {at} r {radius}");
+                    }
                 }
             }
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// The element-wise kernels are bit-identical across *all* modes, not
@@ -782,6 +836,33 @@ mod tests {
     fn unsupported_mode_panics_not_ub() {
         if let Some(&unsupported) = Mode::ALL.iter().find(|m| !supported(**m)) {
             assert!(std::panic::catch_unwind(|| dot(unsupported, &[1.0], &[1.0])).is_err());
+        }
+    }
+
+    /// The straight-line reductions the SIMD kernels use are `tree_reduce`
+    /// bit for bit, on random arrays mixing subnormal-to-huge magnitudes
+    /// (where association order decides the rounding) with signs.
+    #[test]
+    fn unrolled_reductions_are_tree_reduce() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |narrow: bool| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            // Exponent field: a narrow band around 1.0, or 0..=2000 (from
+            // subnormal to 2⁹⁷⁷, so sixteen terms never overflow).
+            let exp = if narrow { 1013 + (z >> 52) % 21 } else { (z >> 52) % 2001 };
+            f64::from_bits((z & (1 << 63)) | (exp << 52) | (z & ((1 << 52) - 1)))
+        };
+        for round in 0..20_000 {
+            let narrow = round % 2 == 0;
+            let a4: [f64; 4] = std::array::from_fn(|_| next(narrow));
+            assert_eq!(reduce4(&a4).to_bits(), tree_reduce(&a4).to_bits(), "{a4:?}");
+            let a16: [f64; 16] = std::array::from_fn(|_| next(narrow));
+            assert_eq!(reduce16(&a16).to_bits(), tree_reduce(&a16).to_bits(), "{a16:?}");
         }
     }
 

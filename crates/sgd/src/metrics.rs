@@ -249,7 +249,11 @@ fn auc_from_scored(mut scored: Vec<(f64, bool)>) -> f64 {
     if positives == 0 || negatives == 0 {
         return 0.5;
     }
-    scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("scores are never NaN"));
+    assert!(!scored.iter().any(|(s, _)| s.is_nan()), "scores are never NaN");
+    // Only the order *between* tie groups matters, so an unstable sort on
+    // the IEEE total order suffices; −0.0 and +0.0 get distinct keys but
+    // land adjacent, and the `==` walk below keeps them one tie group.
+    scored.sort_unstable_by_key(|&(s, _)| total_order_key(s));
     // Sum of positive ranks with midranks for ties.
     let mut rank_sum = 0.0f64;
     let mut i = 0usize;
@@ -270,6 +274,18 @@ fn auc_from_scored(mut scored: Vec<(f64, bool)>) -> f64 {
     let p = positives as f64;
     let n = negatives as f64;
     (rank_sum - p * (p + 1.0) / 2.0) / (p * n)
+}
+
+/// [`f64::total_cmp`] as an unsigned key: flipping every bit of a negative
+/// and only the sign bit of a positive makes integer order the IEEE total
+/// order (−∞ < … < −0.0 < +0.0 < … < +∞).
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
 }
 
 #[cfg(test)]
@@ -326,6 +342,86 @@ mod auc_tests {
         }
         assert_eq!(accuracy_from_scores(&[], &[]), 0.0);
         assert_eq!(auc_from_scores(&[], &[]), 0.5);
+    }
+
+    /// The stable `partial_cmp` ranking `auc_from_scored` used before it
+    /// sorted on total-order keys, kept as the oracle.
+    fn stable_sort_auc(scores: &[f64], labels: &[f64]) -> f64 {
+        let mut scored: Vec<(f64, bool)> =
+            scores.iter().zip(labels.iter()).map(|(&s, &y)| (s, y > 0.0)).collect();
+        let positives = scored.iter().filter(|(_, p)| *p).count();
+        let negatives = scored.len() - positives;
+        if positives == 0 || negatives == 0 {
+            return 0.5;
+        }
+        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("scores are never NaN"));
+        let mut rank_sum = 0.0f64;
+        let mut i = 0usize;
+        while i < scored.len() {
+            let mut j = i;
+            while j + 1 < scored.len() && scored[j + 1].0 == scored[i].0 {
+                j += 1;
+            }
+            let midrank = (i + j) as f64 / 2.0 + 1.0;
+            for entry in &scored[i..=j] {
+                if entry.1 {
+                    rank_sum += midrank;
+                }
+            }
+            i = j + 1;
+        }
+        let p = positives as f64;
+        let n = negatives as f64;
+        (rank_sum - p * (p + 1.0) / 2.0) / (p * n)
+    }
+
+    fn assert_matches_oracle(scores: &[f64], labels: &[f64]) {
+        assert_eq!(
+            auc_from_scores(scores, labels).to_bits(),
+            stable_sort_auc(scores, labels).to_bits(),
+            "scores {scores:?} labels {labels:?}"
+        );
+    }
+
+    /// Total-order ranking gives the stable `partial_cmp` ranking's AUC bit
+    /// for bit: on ties, signed zeros (one tie group), infinities,
+    /// single-class input, and random scores with and without heavy ties.
+    #[test]
+    fn total_order_ranking_matches_stable_sort_oracle() {
+        use bolton_rng::Rng;
+        let inf = f64::INFINITY;
+        assert_matches_oracle(&[0.5, 0.5, 0.5, 0.1], &[1.0, -1.0, 1.0, -1.0]);
+        assert_matches_oracle(&[-0.0, 0.0, -0.0, 0.0, 1.0], &[1.0, -1.0, -1.0, 1.0, -1.0]);
+        assert_matches_oracle(&[0.0, -0.0, 0.0, -0.0], &[1.0, 1.0, -1.0, 1.0]);
+        assert_matches_oracle(&[-inf, inf, 0.0, -inf, inf], &[1.0, -1.0, 1.0, -1.0, 1.0]);
+        assert_matches_oracle(&[3.0, -1.0, 2.0], &[1.0, 1.0, 1.0]);
+        assert_matches_oracle(&[3.0, -1.0, 2.0], &[-1.0, -1.0, -1.0]);
+        // Signed zeros really do tie: all four scores equal ⇒ 0.5.
+        assert_eq!(auc_from_scores(&[-0.0, 0.0, 0.0, -0.0], &[1.0, 1.0, -1.0, -1.0]), 0.5);
+        let mut rng = bolton_rng::seeded(0xA0C);
+        let pool = [-inf, -2.5, -1.0, -0.0, 0.0, 1e-310, 0.75, 2.5, inf];
+        for round in 0..200 {
+            let len = 1 + round % 97;
+            let scores: Vec<f64> = (0..len)
+                .map(|_| {
+                    if round % 2 == 0 {
+                        pool[(rng.next_u64() % pool.len() as u64) as usize]
+                    } else {
+                        rng.next_f64() * 4.0 - 2.0
+                    }
+                })
+                .collect();
+            let labels: Vec<f64> = (0..len)
+                .map(|_| if rng.next_u64().is_multiple_of(3) { 1.0 } else { -1.0 })
+                .collect();
+            assert_matches_oracle(&scores, &labels);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scores are never NaN")]
+    fn nan_scores_still_panic() {
+        auc_from_scores(&[0.5, f64::NAN, 0.1], &[1.0, -1.0, -1.0]);
     }
 
     #[test]
