@@ -1,12 +1,16 @@
 //! Micro-benchmarks of the noise mechanisms (Appendix E sampler and the
 //! Gaussian mechanism) across dimensions — the per-update cost that makes
 //! SCS13/BST14 slow and that output perturbation pays exactly once.
+//!
+//! The `*_d50` rows are the per-step cost at the `train-fig5` dimension:
+//! one `GaussianMechanism::perturb` (noise sampler, the ziggurat) against
+//! the same 50 draws from the Box–Muller data sampler `standard_normal`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use bolton_privacy::mechanisms::{sample_unit_sphere, GaussianMechanism, LaplaceBallMechanism};
-use bolton_rng::dist::Gamma;
+use bolton_rng::dist::{standard_normal, Gamma};
 use bolton_rng::{seeded, Rng};
 
 fn bench_laplace_ball(c: &mut Criterion) {
@@ -33,6 +37,28 @@ fn bench_gaussian(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_d50(c: &mut Criterion) {
+    c.bench_function("gaussian_perturb_d50", |b| {
+        let mech = GaussianMechanism::new(0.01, 0.1, 1e-8).unwrap();
+        let mut rng = seeded(6);
+        let mut w = vec![0.0; 50];
+        b.iter(|| {
+            mech.perturb(&mut rng, &mut w);
+            black_box(&w);
+        });
+    });
+    c.bench_function("standard_normal_loop_d50", |b| {
+        let mut rng = seeded(7);
+        let mut w = vec![0.0; 50];
+        b.iter(|| {
+            for v in w.iter_mut() {
+                *v += standard_normal(&mut rng);
+            }
+            black_box(&w);
+        });
+    });
+}
+
 fn bench_primitives(c: &mut Criterion) {
     c.bench_function("gamma_draw_shape_50", |b| {
         let gamma = Gamma::new(50.0, 0.1);
@@ -49,5 +75,5 @@ fn bench_primitives(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_laplace_ball, bench_gaussian, bench_primitives);
+criterion_group!(benches, bench_laplace_ball, bench_gaussian, bench_d50, bench_primitives);
 criterion_main!(benches);

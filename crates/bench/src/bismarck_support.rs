@@ -7,8 +7,7 @@ use bolton::output_perturbation::{calibrate_sensitivity, paper_step_size, BoltOn
 use bolton::{Budget, InMemoryDataset, TrainSet};
 use bolton_bismarck::driver::{train, DriverConfig, TrainedModel};
 use bolton_bismarck::{Backing, Table};
-use bolton_privacy::mechanisms::{LaplaceBallMechanism, NoiseMechanism};
-use bolton_rng::dist::standard_normal;
+use bolton_privacy::mechanisms::{GaussianMechanism, LaplaceBallMechanism, NoiseMechanism};
 use bolton_rng::Rng;
 use bolton_sgd::engine::BatchPlan;
 use bolton_sgd::loss::{Logistic, Loss};
@@ -101,27 +100,21 @@ pub fn run_bismarck_sc(
         BisAlg::Scs13 => {
             let per_pass = budget.split_even(epochs);
             let grad_sens = 2.0 * loss.lipschitz() / batch as f64;
-            let mech = bolton_privacy::mechanisms::GaussianMechanism::new(
-                grad_sens,
-                per_pass.eps(),
-                per_pass.delta(),
-            )
-            .expect("mechanism");
+            let mech = GaussianMechanism::new(grad_sens, per_pass.eps(), per_pass.delta())
+                .expect("mechanism");
             let mut hook = |_t: u64, g: &mut [f64]| mech.perturb(&mut noise_rng, g);
             train(table, &loss, &config, &mut rng, Some(&mut hook), None).expect("train")
         }
         BisAlg::Bst14 => {
             let bst = Bst14Config::new(budget, radius).with_passes(epochs).with_batch_size(batch);
             let cal = calibrate(&loss, &bst, m, dim).expect("calibration");
-            let sigma = cal.sigma_sq.sqrt();
+            let mech = GaussianMechanism::from_sigma(cal.sigma_sq.sqrt()).expect("mechanism");
             let plan = BatchPlan::new(m, batch);
             let batches = plan.batches as u64;
             let mut hook = |t: u64, g: &mut [f64]| {
                 let len = plan.size_of(((t - 1) % batches) as usize);
                 bolton_linalg::vector::scale(len as f64, g);
-                for v in g.iter_mut() {
-                    *v += sigma * standard_normal(&mut noise_rng);
-                }
+                mech.perturb(&mut noise_rng, g);
             };
             train(table, &loss, &config, &mut rng, Some(&mut hook), None).expect("train")
         }

@@ -150,6 +150,33 @@ mod tests {
         );
     }
 
+    /// The same audit on the (ε, δ) path: bolt-on training at δ > 0
+    /// releases through the Gaussian mechanism, and its witness stays below
+    /// the configured ε.
+    #[test]
+    fn calibrated_gaussian_mechanism_passes_audit() {
+        let (data, neighbor) = fixture();
+        let loss = Logistic::plain();
+        let eps = 1.0;
+        let config = BoltOnConfig::new(Budget::approx(eps, 1e-5).unwrap()).with_passes(2);
+        let mut rng = bolton_rng::seeded(906);
+        let report = audit_mechanism(
+            &AuditConfig { trials: 3000, bins: 12, min_count: 100 },
+            &mut rng,
+            |which, r| {
+                let d = if which { &neighbor } else { &data };
+                train_private(d, &loss, &config, r).unwrap().model
+            },
+            |w| w[0],
+        );
+        assert!(report.informative_bins > 3, "audit needs informative bins");
+        assert!(
+            report.empirical_eps < eps,
+            "empirical ε {} should stay below configured ε {eps}",
+            report.empirical_eps
+        );
+    }
+
     /// A deliberately *mis*calibrated release (noise 100× too small) is
     /// caught: the witness explodes past the claimed ε.
     #[test]

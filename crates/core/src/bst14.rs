@@ -20,7 +20,7 @@
 
 use bolton_privacy::budget::{Budget, PrivacyError};
 use bolton_privacy::composition::solve_per_iteration_eps;
-use bolton_rng::dist::standard_normal;
+use bolton_privacy::mechanisms::GaussianMechanism;
 use bolton_rng::Rng;
 use bolton_sgd::engine::{
     batches_per_pass, run_psgd_with_hook, Averaging, BatchPlan, SamplingScheme, SgdConfig,
@@ -143,7 +143,7 @@ where
     assert!(m > 0, "training set must be non-empty");
     let d = data.dim();
     let cal = calibrate(loss, config, m, d)?;
-    let sigma = cal.sigma_sq.sqrt();
+    let noise = GaussianMechanism::from_sigma(cal.sigma_sq.sqrt())?;
 
     let step = if loss.is_strongly_convex() {
         // Algorithm 5 line 12.
@@ -171,9 +171,7 @@ where
         let within = ((t - 1) % batches) as usize;
         let batch_len = plan.size_of(within);
         bolton_linalg::vector::scale(batch_len as f64, grad);
-        for g in grad.iter_mut() {
-            *g += sigma * standard_normal(&mut noise_rng);
-        }
+        noise.perturb(&mut noise_rng, grad);
     });
 
     Ok(Bst14Model { model: outcome.model, updates: outcome.updates, calibration: cal })

@@ -8,10 +8,18 @@
 //!   `σ = √(2 ln(1.25/δ))·Δ₂/ε` is (ε, δ)-DP for `ε ∈ (0, 1)`.
 //! * [`NoiseMechanism`] — an enum over the two (plus `Noiseless`) so the
 //!   training drivers can treat noise injection uniformly.
+//!
+//! The Gaussian mechanism draws its coordinates from the exact ziggurat
+//! [`ziggurat_normal`], the workspace's per-step noise sampler. The
+//! Box–Muller [`standard_normal`](bolton_rng::dist::standard_normal) is the
+//! data sampler (synthetic tables, random projections); it also draws the
+//! Laplace ball's sphere direction (and objective perturbation's `b`)
+//! through [`sample_unit_sphere`], and its `Γ(d, Δ₂/ε)` magnitude through
+//! [`Gamma`], so a pure-ε release at a given seed keeps its bits.
 
 use crate::budget::{Budget, PrivacyError};
 use bolton_linalg::vector;
-use bolton_rng::dist::{standard_normal, Gamma};
+use bolton_rng::dist::{ziggurat_normal, Gamma};
 use bolton_rng::Rng;
 
 pub use bolton_linalg::random::sample_unit_sphere;
@@ -81,13 +89,11 @@ impl LaplaceBallMechanism {
     }
 }
 
-/// The (ε, δ)-DP Gaussian mechanism of Theorem 3.
+/// The (ε, δ)-DP Gaussian mechanism of Theorem 3: i.i.d. `N(0, σ²)` noise
+/// on every coordinate.
 #[derive(Clone, Copy, Debug)]
 pub struct GaussianMechanism {
-    sensitivity: f64,
     sigma: f64,
-    eps: f64,
-    delta: f64,
 }
 
 impl GaussianMechanism {
@@ -113,17 +119,28 @@ impl GaussianMechanism {
         }
         Budget::approx(eps, delta)?;
         let c = (2.0 * (1.25 / delta).ln()).sqrt();
-        Ok(Self { sensitivity, sigma: c * sensitivity / eps, eps, delta })
+        Ok(Self { sigma: c * sensitivity / eps })
+    }
+
+    /// A mechanism with a per-coordinate σ calibrated elsewhere — BST14
+    /// derives its σ from advanced composition and amplification by
+    /// subsampling rather than from one (ε, δ).
+    ///
+    /// # Errors
+    /// Returns [`PrivacyError::InvalidMechanism`] unless σ is finite and
+    /// positive.
+    pub fn from_sigma(sigma: f64) -> Result<Self, PrivacyError> {
+        if !sigma.is_finite() || sigma <= 0.0 {
+            return Err(PrivacyError::InvalidMechanism(format!(
+                "sigma must be finite and > 0, got {sigma}"
+            )));
+        }
+        Ok(Self { sigma })
     }
 
     /// The per-coordinate noise standard deviation σ.
     pub fn sigma(&self) -> f64 {
         self.sigma
-    }
-
-    /// The L2-sensitivity this mechanism was calibrated for.
-    pub fn sensitivity(&self) -> f64 {
-        self.sensitivity
     }
 
     /// Expected noise norm, `E‖κ‖ ≈ σ·√d` (exact up to the χ_d mean factor,
@@ -132,20 +149,17 @@ impl GaussianMechanism {
         self.sigma * (dim as f64).sqrt()
     }
 
-    /// The (ε, δ) this mechanism was calibrated for.
-    pub fn budget(&self) -> Budget {
-        Budget::approx(self.eps, self.delta).expect("validated at construction")
-    }
-
     /// Draws one noise vector of length `dim`.
     pub fn sample_noise<R: Rng + ?Sized>(&self, rng: &mut R, dim: usize) -> Vec<f64> {
-        (0..dim).map(|_| self.sigma * standard_normal(rng)).collect()
+        let mut noise = vec![0.0; dim];
+        self.perturb(rng, &mut noise);
+        noise
     }
 
     /// Adds one noise draw to `w` in place.
     pub fn perturb<R: Rng + ?Sized>(&self, rng: &mut R, w: &mut [f64]) {
         for v in w.iter_mut() {
-            *v += self.sigma * standard_normal(rng);
+            *v += self.sigma * ziggurat_normal(rng);
         }
     }
 }
@@ -312,6 +326,27 @@ mod tests {
     #[test]
     fn gaussian_rejects_zero_delta() {
         assert!(GaussianMechanism::new(1.0, 1.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn gaussian_from_sigma_validates() {
+        assert_eq!(GaussianMechanism::from_sigma(0.75).unwrap().sigma(), 0.75);
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(GaussianMechanism::from_sigma(bad).is_err(), "accepted sigma {bad}");
+        }
+    }
+
+    /// Gaussian noise comes from the noise sampler, coordinate by
+    /// coordinate, in both entry points.
+    #[test]
+    fn gaussian_noise_is_drawn_by_the_ziggurat() {
+        let mech = GaussianMechanism::from_sigma(1.5).unwrap();
+        let mut expect_rng = seeded(49);
+        let expected: Vec<f64> = (0..20).map(|_| 1.5 * ziggurat_normal(&mut expect_rng)).collect();
+        let mut w = vec![0.0; 20];
+        mech.perturb(&mut seeded(49), &mut w);
+        assert_eq!(w, expected);
+        assert_eq!(mech.sample_noise(&mut seeded(49), 20), expected);
     }
 
     #[test]

@@ -66,11 +66,11 @@ fn starved_pool_evicts_during_training() {
 }
 
 /// A Bismarck table is a TrainSet: the private trainers run on it directly,
-/// producing the same kind of models as on in-memory data.
+/// producing the same models as on in-memory data.
 #[test]
 fn private_training_runs_directly_on_tables() {
     use bolton::api::{AlgorithmKind, LossKind, TrainPlan};
-    use bolton::Budget;
+    use bolton::{Budget, InMemoryDataset};
     let spec = SynthSpec { rows: 1500, dim: 12, label_noise: 0.05, feature_scale: 1.0 };
     let mut gen_rng = bolton_rng::seeded(504);
     let table =
@@ -85,6 +85,18 @@ fn private_training_runs_directly_on_tables() {
     .with_batch_size(10);
     let model = plan.train(&table, &mut bolton_rng::seeded(505)).unwrap();
     assert_eq!(model.len(), TrainSet::dim(&table));
+
+    let (mut features, mut labels) = (Vec::new(), Vec::new());
+    table
+        .scan_rows(&mut |_, x, y| {
+            features.extend_from_slice(x);
+            labels.push(y);
+        })
+        .unwrap();
+    let in_memory = InMemoryDataset::from_flat(features, labels, spec.dim);
+    let reference = plan.train(&in_memory, &mut bolton_rng::seeded(505)).unwrap();
+    assert_eq!(model, reference, "a table and the same rows in memory must train alike");
+
     let acc = metrics::accuracy(&model, &table);
     assert!(acc > 0.8, "private model on table: accuracy {acc}");
 }
